@@ -1,15 +1,17 @@
 //! Benchmarks for the future-work subsystems: hybrid ARQ, the TDMA
-//! scheduler, Gilbert–Elliott generation/fitting, and trace persistence.
+//! scheduler, Gilbert–Elliott generation/fitting, and trace persistence
+//! (the WLTC columnar format).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use wavelan_analysis::tracecodec::{TraceMeta, TraceReader, TraceWriter};
 use wavelan_fec::harq::{run_harq, HarqSender};
 use wavelan_mac::tdma::TdmaScheduler;
 use wavelan_net::testpkt::Endpoint;
 use wavelan_phy::gilbert::GilbertElliott;
 use wavelan_sim::runner::attach_tx_count;
-use wavelan_sim::tracefile::{read_trace, write_trace};
+use wavelan_sim::trace::Trace;
 use wavelan_sim::{Point, ScenarioBuilder, StationConfig};
 
 fn harq(c: &mut Criterion) {
@@ -70,8 +72,27 @@ fn gilbert(c: &mut Criterion) {
     g.finish();
 }
 
-fn tracefile(c: &mut Criterion) {
-    let mut g = c.benchmark_group("tracefile");
+/// Encodes `trace` as a one-stream WLTC file.
+fn encode(trace: &Trace, out: Vec<u8>) -> Vec<u8> {
+    let meta = TraceMeta {
+        artifact: String::from("bench"),
+        scale: String::from("bench"),
+        seed: 4,
+        spec_hash: 0,
+        packet_budget: 2_000,
+    };
+    let mut w = TraceWriter::new(out, &meta).unwrap();
+    w.begin_stream("rx").unwrap();
+    for r in &trace.records {
+        w.push(&r.view()).unwrap();
+    }
+    w.end_stream(trace.packets_transmitted, trace.packets_dropped_by_mac)
+        .unwrap();
+    w.finish().unwrap()
+}
+
+fn tracecodec(c: &mut Criterion) {
+    let mut g = c.benchmark_group("tracecodec");
     g.sample_size(10);
     // A real 2,000-packet trace.
     let mut b = ScenarioBuilder::new(4);
@@ -88,21 +109,22 @@ fn tracefile(c: &mut Criterion) {
     let mut result = scenario.run(tx, 2_000);
     attach_tx_count(&mut result, rx, tx);
     let trace = result.trace(rx).clone();
-    let mut buf = Vec::new();
-    write_trace(&trace, &mut buf).unwrap();
+    let buf = encode(&trace, Vec::new());
     g.throughput(Throughput::Bytes(buf.len() as u64));
     g.bench_function("write_2000_packets", |bch| {
-        bch.iter(|| {
-            let mut out = Vec::with_capacity(buf.len());
-            write_trace(&trace, &mut out).unwrap();
-            out.len()
-        })
+        bch.iter(|| encode(&trace, Vec::with_capacity(buf.len())).len())
     });
     g.bench_function("read_2000_packets", |bch| {
-        bch.iter(|| read_trace(&buf[..]).unwrap().records.len())
+        bch.iter(|| {
+            let mut r = TraceReader::open(&buf[..]).unwrap();
+            r.next_stream().unwrap();
+            let mut records = 0usize;
+            r.for_each_record(|_| records += 1).unwrap();
+            records
+        })
     });
     g.finish();
 }
 
-criterion_group!(benches, harq, tdma, gilbert, tracefile);
+criterion_group!(benches, harq, tdma, gilbert, tracecodec);
 criterion_main!(benches);

@@ -24,18 +24,11 @@ use std::net::TcpStream;
 /// Anything larger is malformed by this API's standards and gets a 400.
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
 
-/// The header a ring peer sets when proxying a request to the key's owner;
-/// a request carrying it is always computed locally (loop prevention).
-pub const PROXIED_HEADER: &str = "x-wavelan-proxied";
-
 /// A parsed request: the parts of the head this API routes on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
     /// The HTTP method verbatim (`GET`, `POST`, …).
     pub method: String,
-    /// The request target verbatim (`/run/table2?seed=7`) — what a proxy
-    /// forwards.
-    pub target: String,
     /// The path with the query string stripped (`/run/table2`).
     pub path: String,
     /// Query pairs in source order; a key without `=` keeps an empty value.
@@ -63,11 +56,6 @@ impl Request {
             .iter()
             .find(|(k, _)| k == name)
             .map(|(_, v)| v.as_str())
-    }
-
-    /// True when a ring peer forwarded this request ([`PROXIED_HEADER`]).
-    pub fn is_proxied(&self) -> bool {
-        self.header(PROXIED_HEADER).is_some()
     }
 }
 
@@ -186,7 +174,6 @@ fn parse_head(head: &str) -> Result<Request, String> {
     Ok(Request {
         method,
         path: path.to_string(),
-        target,
         query,
         headers,
         keep_alive,
@@ -270,7 +257,6 @@ mod tests {
         let req = parse("GET /run/table2?seed=7&scale=smoke HTTP/1.1\r\n\r\n").expect("ok");
         assert_eq!(req.method, "GET");
         assert_eq!(req.path, "/run/table2");
-        assert_eq!(req.target, "/run/table2?seed=7&scale=smoke");
         assert_eq!(req.param("seed"), Some("7"));
         assert_eq!(req.param("scale"), Some("smoke"));
         assert_eq!(req.param("missing"), None);
@@ -299,12 +285,12 @@ mod tests {
 
     #[test]
     fn headers_are_lowercased_and_trimmed() {
-        let req = parse("GET / HTTP/1.1\r\nHost: example\r\nX-Wavelan-Proxied:  1 \r\n\r\n")
+        let req = parse("GET / HTTP/1.1\r\nHost: example\r\nX-Trace-Id:  1 \r\n\r\n")
             .expect("ok");
         assert_eq!(req.header("host"), Some("example"));
-        assert_eq!(req.header(PROXIED_HEADER), Some("1"));
-        assert!(req.is_proxied());
-        assert!(!parse("GET / HTTP/1.1\r\n\r\n").expect("ok").is_proxied());
+        assert_eq!(req.header("x-trace-id"), Some("1"));
+        let bare = parse("GET / HTTP/1.1\r\n\r\n").expect("ok");
+        assert_eq!(bare.header("host"), None);
     }
 
     #[test]

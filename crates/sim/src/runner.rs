@@ -336,11 +336,6 @@ impl Scenario {
         self.run_with_limit(usize::MAX, u64::MAX, duration_ns)
     }
 
-    /// [`Scenario::run_for`] with a caller-owned [`SimScratch`].
-    pub fn run_for_in(&self, duration_ns: u64, scratch: &mut SimScratch) -> TrialResult {
-        self.run_with_limit_in(usize::MAX, u64::MAX, duration_ns, scratch)
-    }
-
     /// The general form: stop when `primary` completes `n_packets`
     /// transmissions or virtual time passes `limit_ns`.
     pub fn run_with_limit(&self, primary: StationId, n_packets: u64, limit_ns: u64) -> TrialResult {

@@ -1,5 +1,5 @@
 //! Trace capture and dissection: run a noisy trial, persist the promiscuous
-//! trace to disk in the WLTR binary format, reload it, and print a
+//! trace to disk in the WLTC columnar format, reload it, and print a
 //! tcpdump-style dissection of interesting packets — plus the burst-level
 //! error characterization that drives FEC/interleaver choices.
 //!
@@ -7,13 +7,17 @@
 //! cargo run --release --example trace_dump
 //! ```
 
-use wavelan_repro::analysis::{analyze, burst_report, ExpectedSeries, PacketClass};
+use std::fs::File;
+use std::io::{BufReader, BufWriter};
+use wavelan_repro::analysis::tracecodec::{TraceMeta, TraceReader, TraceWriter};
+use wavelan_repro::analysis::{analyze, burst_report, ExpectedSeries, PacketClass, TraceAnalysis};
 use wavelan_repro::experiments::calibration;
 use wavelan_repro::mac::network_id::{strip_network_id, NetworkId};
 use wavelan_repro::net::testpkt::Endpoint;
 use wavelan_repro::net::EthernetFrame;
 use wavelan_repro::sim::runner::attach_tx_count;
-use wavelan_repro::sim::{tracefile, Point, Propagation, ScenarioBuilder, StationConfig};
+use wavelan_repro::sim::trace::Trace;
+use wavelan_repro::sim::{Point, Propagation, ScenarioBuilder, StationConfig};
 
 fn main() {
     // ── Capture: a link under intermediate SS-phone interference. ──
@@ -38,24 +42,61 @@ fn main() {
     let trace = result.trace(rx).clone();
 
     // ── Persist and reload. ──
-    let path = std::env::temp_dir().join("wavelan_demo.wltr");
-    tracefile::save(&trace, &path).expect("write trace");
+    let path = std::env::temp_dir().join("wavelan_demo.wltc");
+    let meta = TraceMeta {
+        artifact: String::from("trace-dump"),
+        scale: String::from("demo"),
+        seed: 7,
+        spec_hash: 0,
+        packet_budget: 600,
+    };
+    let file = File::create(&path).expect("create trace file");
+    let mut writer = TraceWriter::new(BufWriter::new(file), &meta).expect("write header");
+    writer.begin_stream("rx").expect("open stream");
+    for r in &trace.records {
+        writer.push(&r.view()).expect("write record");
+    }
+    writer
+        .end_stream(trace.packets_transmitted, trace.packets_dropped_by_mac)
+        .expect("close stream");
+    writer.finish().expect("write footer");
     let size = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-    let reloaded = tracefile::load(&path).expect("read trace");
-    assert_eq!(reloaded, trace);
-    println!(
-        "captured {} packets → {} ({size} bytes), reloaded bit-identically\n",
-        trace.len(),
-        path.display()
-    );
 
-    // ── Dissect: first few packets of each damage class. ──
+    let file = File::open(&path).expect("open trace file");
+    let mut reader = TraceReader::open(BufReader::new(file)).expect("read header");
+    reader
+        .next_stream()
+        .expect("read stream")
+        .expect("one stream");
+    let mut records = Vec::new();
+    let tail = reader
+        .for_each_record(|v| records.push(v.to_record()))
+        .expect("read records");
+    assert!(reader.next_stream().expect("read footer").is_none());
+    let reloaded = Trace {
+        records,
+        packets_transmitted: tail.transmitted,
+        packets_dropped_by_mac: tail.dropped_by_mac,
+    };
+
+    // WLTC carries what a real capture would — no simulator ground truth —
+    // so the check is that the classifier reaches the same verdicts.
     let expected = ExpectedSeries {
         src: Endpoint::station(2),
         dst: Endpoint::station(1),
         network_id: NetworkId::TESTBED,
     };
     let analysis = analyze(&reloaded, &expected);
+    let classes =
+        |a: &TraceAnalysis| -> Vec<PacketClass> { a.packets.iter().map(|p| p.class).collect() };
+    assert_eq!(classes(&analysis), classes(&analyze(&trace, &expected)));
+    println!(
+        "captured {} packets → {} ({size} bytes), reloaded with identical verdicts\n",
+        trace.len(),
+        path.display()
+    );
+
+    // ── Dissect: first few packets of each damage class. ──
     println!("time(ms)  len   lvl sil q  class        src → dst");
     let mut shown = std::collections::HashMap::new();
     for p in &analysis.packets {
