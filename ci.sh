@@ -85,10 +85,26 @@ for artifact in fec harq; do
     }
 done
 
+REPRO=./target/release/repro
+
+# Memory ceiling: table2's trials stream through the analyzer instead of
+# buffering whole receiver traces, so its peak RSS stays flat in packet
+# count. A Reduced-scale run peaks near 14 MB streamed and near 169 MB
+# buffered; fail above 48 MB. ru_maxrss is in KiB on Linux.
+if command -v python3 >/dev/null 2>&1; then
+    python3 - "$REPRO" <<'PY'
+import resource, subprocess, sys
+subprocess.run([sys.argv[1], "table2", "--scale", "reduced", "--jobs", "2"],
+               stdout=subprocess.DEVNULL, check=True)
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print(f"table2 reduced peak RSS: {peak_mb:.1f} MB (ceiling 48 MB)", file=sys.stderr)
+sys.exit(0 if peak_mb <= 48 else 1)
+PY
+fi
+
 # Starts `repro serve` as a real separate process on an ephemeral port,
 # with any extra flags given, and waits for /healthz; sets SERVE_PID and
 # ADDR.
-REPRO=./target/release/repro
 start_daemon() {
     ADDR_FILE=$(mktemp)
     "$REPRO" serve --addr 127.0.0.1:0 --addr-file "$ADDR_FILE" --workers 2 "$@" &

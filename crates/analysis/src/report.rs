@@ -691,6 +691,7 @@ mod tests {
             TrialSummary {
                 name: "office1".into(),
                 packets_received: 102_720,
+                packets_transmitted: 102_751,
                 packet_loss: 0.0003,
                 packets_truncated: 1,
                 bits_received: 800_000_000,
@@ -701,6 +702,7 @@ mod tests {
             TrialSummary {
                 name: "Tx5".into(),
                 packets_received: 1_440,
+                packets_transmitted: 1_441,
                 packet_loss: 0.0007,
                 packets_truncated: 1,
                 bits_received: 10_000_000,

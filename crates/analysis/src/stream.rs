@@ -4,17 +4,19 @@
 //! The buffered pipeline materializes a whole [`wavelan_sim::Trace`], then a
 //! whole [`crate::classify::TraceAnalysis`], before aggregating — memory
 //! linear in trial length. [`StreamAnalysis`] folds each record the moment
-//! the event loop resolves it and keeps only the aggregates: per-class
-//! counts, body-bit totals, the worst single body, and the three
-//! [`SignalStats`] accumulators. Steady-state it allocates nothing (the
-//! classifier scratch warms up over the first packet), so a streamed run's
-//! memory is flat in packet count — the property the allocator-counting
-//! tests enforce.
+//! the event loop resolves it and keeps only the aggregates: body-bit
+//! totals, the worst single body, the three [`SignalStats`] accumulators
+//! over all test packets, and the same three per [`PacketClass`] (whose
+//! counts are the per-class packet counts). Steady-state it allocates
+//! nothing (the classifier scratch warms up over the first packet), so a
+//! streamed run's memory is flat in packet count — the property the
+//! allocator-counting tests enforce.
 //!
 //! The fold is bit-identical to the buffered path: records arrive in the
 //! same order the buffered trace stores them, and every aggregate here
 //! reproduces the corresponding [`TrialSummary::from_analysis`] /
-//! [`crate::classify::TraceAnalysis::stats_where`] computation exactly.
+//! [`crate::classify::TraceAnalysis::stats_where`] /
+//! [`crate::classify::TraceAnalysis::count`] computation exactly.
 
 use crate::classify::{classify_view, ClassifyScratch, PacketClass};
 use crate::matcher::ExpectedSeries;
@@ -37,14 +39,17 @@ pub struct StreamAnalysis {
     records: u64,
     /// Test packets.
     received: u64,
-    truncated: u64,
-    wrapper_damaged: u64,
     bits_received: u64,
     body_bits_damaged: u64,
     worst_body: u32,
     level: SignalStats,
     silence: SignalStats,
     quality: SignalStats,
+    /// `(level, silence, quality)` over the test packets of each class,
+    /// indexed by `PacketClass as usize`. Kept apart from the all-test
+    /// accumulators above: merging per-class sums would reorder the float
+    /// additions and break bit-identity with the buffered path.
+    by_class: [(SignalStats, SignalStats, SignalStats); 4],
     outsiders: u64,
 }
 
@@ -58,14 +63,13 @@ impl StreamAnalysis {
             transmitted: 0,
             records: 0,
             received: 0,
-            truncated: 0,
-            wrapper_damaged: 0,
             bits_received: 0,
             body_bits_damaged: 0,
             worst_body: 0,
             level: SignalStats::new(),
             silence: SignalStats::new(),
             quality: SignalStats::new(),
+            by_class: [(SignalStats::new(), SignalStats::new(), SignalStats::new()); 4],
             outsiders: 0,
         }
     }
@@ -80,22 +84,27 @@ impl StreamAnalysis {
             return;
         }
         self.received += 1;
-        match p.class {
-            PacketClass::Truncated => self.truncated += 1,
-            PacketClass::WrapperDamaged => self.wrapper_damaged += 1,
-            PacketClass::Undamaged | PacketClass::BodyDamaged => {}
-        }
         self.bits_received += p.body_bits_received;
         self.body_bits_damaged += u64::from(p.body_bit_errors);
         self.worst_body = self.worst_body.max(p.body_bit_errors);
         self.level.push(p.level);
         self.silence.push(p.silence);
         self.quality.push(p.quality);
+        let (level, silence, quality) = &mut self.by_class[p.class as usize];
+        level.push(p.level);
+        silence.push(p.silence);
+        quality.push(p.quality);
     }
 
     /// Records the sender's transmitted count (the loss denominator).
     pub fn set_transmitted(&mut self, transmitted: u64) {
         self.transmitted = transmitted;
+    }
+
+    /// The sender's transmitted count (0 until
+    /// [`StreamAnalysis::set_transmitted`]).
+    pub fn transmitted(&self) -> u64 {
+        self.transmitted
     }
 
     /// Records folded so far, outsiders included.
@@ -114,14 +123,15 @@ impl StreamAnalysis {
         TrialSummary {
             name: name.to_string(),
             packets_received: self.received,
+            packets_transmitted: self.transmitted,
             packet_loss: if self.transmitted == 0 {
                 0.0
             } else {
                 1.0 - (self.received.min(self.transmitted) as f64 / self.transmitted as f64)
             },
-            packets_truncated: self.truncated,
+            packets_truncated: self.count(PacketClass::Truncated),
             bits_received: self.bits_received,
-            wrapper_damaged: self.wrapper_damaged,
+            wrapper_damaged: self.count(PacketClass::WrapperDamaged),
             body_bits_damaged: self.body_bits_damaged,
             worst_body: self.worst_body,
         }
@@ -131,6 +141,19 @@ impl StreamAnalysis {
     /// matches `TraceAnalysis::stats_where(|p| p.is_test)` exactly.
     pub fn signal_stats(&self) -> (SignalStats, SignalStats, SignalStats) {
         (self.level, self.silence, self.quality)
+    }
+
+    /// Test packets of `class` — matches `TraceAnalysis::count(class)`.
+    pub fn count(&self, class: PacketClass) -> u64 {
+        self.by_class[class as usize].0.count()
+    }
+
+    /// The `(level, silence, quality)` statistics over test packets of
+    /// `class` — matches
+    /// `TraceAnalysis::stats_where(|p| p.is_test && p.class == class)`
+    /// exactly.
+    pub fn class_stats(&self, class: PacketClass) -> (SignalStats, SignalStats, SignalStats) {
+        self.by_class[class as usize]
     }
 }
 
@@ -220,6 +243,31 @@ mod tests {
         assert_eq!(fold.signal_stats(), buffered_stats);
         assert_eq!(fold.records(), trace.records.len() as u64);
         assert_eq!(fold.outsiders(), analysis.outsiders().count() as u64);
+    }
+
+    #[test]
+    fn per_class_fold_matches_buffered_counts_and_stats() {
+        let trace = mixed_trace();
+        let analysis = classify_trace(&trace, &series());
+        let mut fold = StreamAnalysis::new(series(), 0);
+        for r in &trace.records {
+            fold.record(0, &r.view());
+        }
+        for class in [
+            PacketClass::Undamaged,
+            PacketClass::Truncated,
+            PacketClass::WrapperDamaged,
+            PacketClass::BodyDamaged,
+        ] {
+            // The mixed trace holds exactly one test packet of each class.
+            assert_eq!(analysis.count(class), 1, "{class:?}");
+            assert_eq!(fold.count(class), analysis.count(class) as u64, "{class:?}");
+            assert_eq!(
+                fold.class_stats(class),
+                analysis.stats_where(|p| p.is_test && p.class == class),
+                "{class:?}"
+            );
+        }
     }
 
     #[test]

@@ -19,6 +19,9 @@ pub struct TrialSummary {
     pub name: String,
     /// Test packets received.
     pub packets_received: u64,
+    /// Test packets the sender put on the air (the loss denominator; not a
+    /// printed column).
+    pub packets_transmitted: u64,
     /// Fraction of transmitted test packets lost (0.0–1.0).
     pub packet_loss: f64,
     /// Received test packets that were truncated.
@@ -39,6 +42,7 @@ impl TrialSummary {
         TrialSummary {
             name: name.to_string(),
             packets_received: analysis.test_packets().count() as u64,
+            packets_transmitted: analysis.transmitted,
             packet_loss: analysis.packet_loss(),
             packets_truncated: analysis.count(PacketClass::Truncated) as u64,
             bits_received: analysis.test_packets().map(|p| p.body_bits_received).sum(),

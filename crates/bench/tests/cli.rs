@@ -20,6 +20,42 @@ fn stderr(output: &Output) -> String {
     String::from_utf8_lossy(&output.stderr).into_owned()
 }
 
+/// Runs `repro` with stdout on a pipe whose reader has already exited, so
+/// its first write meets a broken pipe every time (no race with a reader
+/// that might still be draining).
+#[cfg(unix)]
+fn repro_into_closed_pipe(args: &[&str]) -> Output {
+    use std::process::Stdio;
+    let mut reader = Command::new("true")
+        .stdin(Stdio::piped())
+        .spawn()
+        .expect("`true` runs");
+    let write_end = reader.stdin.take().expect("piped stdin");
+    reader.wait().expect("`true` exits");
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(args)
+        .stdout(Stdio::from(write_end))
+        .output()
+        .expect("repro binary runs")
+}
+
+/// `repro --help | true` and `repro --list | head -1` end quietly: a
+/// closed stdout is not a panic (exit 101) but a clean exit.
+#[cfg(unix)]
+#[test]
+fn closed_stdout_ends_quietly() {
+    for args in [
+        &["--help"][..],
+        &["--list"][..],
+        &["--scale", "smoke", "tdma"][..],
+    ] {
+        let out = repro_into_closed_pipe(args);
+        let err = stderr(&out);
+        assert!(!err.contains("panicked"), "args {args:?}: {err}");
+        assert_eq!(out.status.code(), Some(0), "args {args:?}: {err}");
+    }
+}
+
 #[test]
 fn list_exits_zero() {
     let out = repro(&["--list"]);

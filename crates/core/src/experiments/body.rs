@@ -13,7 +13,7 @@ use crate::layouts;
 use crate::registry::Experiment;
 use crate::spec::ScenarioSpec;
 use wavelan_analysis::report::{render_blocks, results_table, signal_table, SignalRow};
-use wavelan_analysis::{Block, PacketClass, Report, TraceAnalysis, TrialSummary};
+use wavelan_analysis::{Block, PacketClass, Report, StreamAnalysis, TrialSummary};
 use wavelan_sim::{Propagation, SimScratch};
 
 /// This experiment's stream id for [`trial_seed`].
@@ -25,53 +25,40 @@ pub const PAPER_PACKETS: u64 = 1_440;
 /// The Tables 8–9 result.
 #[derive(Debug)]
 pub struct BodyResult {
-    /// The unimpaired stream.
-    pub no_body: TraceAnalysis,
-    /// The stream with the person in the path.
-    pub body: TraceAnalysis,
+    /// The unimpaired stream's streamed aggregates.
+    pub no_body: StreamAnalysis,
+    /// The streamed aggregates of the stream with the person in the path.
+    pub body: StreamAnalysis,
 }
 
 impl BodyResult {
     /// Table 8 rows.
     pub fn table8(&self) -> Vec<TrialSummary> {
-        vec![
-            TrialSummary::from_analysis("No body", &self.no_body),
-            TrialSummary::from_analysis("Body", &self.body),
-        ]
+        vec![self.no_body.summary("No body"), self.body.summary("Body")]
     }
 
     /// Table 9 rows.
     pub fn table9(&self) -> Vec<SignalRow> {
         let b = &self.body;
         vec![
-            SignalRow::new(
-                "No body: All Packets",
-                self.no_body.stats_where(|p| p.is_test),
-            ),
-            SignalRow::new("Body: All Packets", b.stats_where(|p| p.is_test)),
-            SignalRow::new(
-                "Body: Undamaged",
-                b.stats_where(|p| p.is_test && p.class == PacketClass::Undamaged),
-            ),
-            SignalRow::new(
-                "Body: Truncated",
-                b.stats_where(|p| p.is_test && p.class == PacketClass::Truncated),
-            ),
+            SignalRow::new("No body: All Packets", self.no_body.signal_stats()),
+            SignalRow::new("Body: All Packets", b.signal_stats()),
+            SignalRow::new("Body: Undamaged", b.class_stats(PacketClass::Undamaged)),
+            SignalRow::new("Body: Truncated", b.class_stats(PacketClass::Truncated)),
             SignalRow::new(
                 "Body: Wrapper damaged",
-                b.stats_where(|p| p.is_test && p.class == PacketClass::WrapperDamaged),
+                b.class_stats(PacketClass::WrapperDamaged),
             ),
             SignalRow::new(
                 "Body: Body damaged",
-                b.stats_where(|p| p.is_test && p.class == PacketClass::BodyDamaged),
+                b.class_stats(PacketClass::BodyDamaged),
             ),
         ]
     }
 
     /// Level drop the person causes.
     pub fn body_level_drop(&self) -> f64 {
-        self.no_body.stats_where(|p| p.is_test).0.mean()
-            - self.body.stats_where(|p| p.is_test).0.mean()
+        self.no_body.signal_stats().0.mean() - self.body.signal_stats().0.mean()
     }
 
     /// The report blocks: both tables with a blank separator.
@@ -154,29 +141,37 @@ pub fn run(scale: Scale, seed: u64) -> BodyResult {
 /// [`run`] on an explicit executor; the two streams fan out as independent
 /// trials (shared pinned propagation, per-stream traffic seed).
 pub fn run_with(scale: Scale, seed: u64, exec: &Executor) -> BodyResult {
+    let mut folds = exec.map_with(
+        trials(scale, seed),
+        SimScratch::new,
+        |scratch, _, (_, trial)| trial.fold_in(scratch),
+    );
+    let body = folds.pop().expect("body stream");
+    let no_body = folds.pop().expect("no-body stream");
+    BodyResult { no_body, body }
+}
+
+/// The two named streams: unimpaired, then with the person in the path.
+pub(crate) fn trials(scale: Scale, seed: u64) -> Vec<(&'static str, PointTrial)> {
     let packets = scale.packets(PAPER_PACKETS);
     let (plan, rx, tx) = layouts::hallway();
-    let mut analyses = exec.map_indices_with(2, SimScratch::new, |scratch, i| {
-        let plan = if i == 0 {
-            plan.clone()
-        } else {
-            let mut impaired_plan = plan.clone();
-            layouts::add_body(&mut impaired_plan);
-            impaired_plan
-        };
-        PointTrial::new(
-            plan,
-            pinned_propagation(seed),
-            rx,
-            tx,
-            packets,
-            trial_seed(EXPERIMENT_ID, i as u64, seed),
-        )
-        .analyze_in(scratch)
-    });
-    let body = analyses.pop().expect("body stream");
-    let no_body = analyses.pop().expect("no-body stream");
-    BodyResult { no_body, body }
+    let mut impaired_plan = plan.clone();
+    layouts::add_body(&mut impaired_plan);
+    [("No body", plan), ("Body", impaired_plan)]
+        .into_iter()
+        .enumerate()
+        .map(|(i, (name, plan))| {
+            let trial = PointTrial::new(
+                plan,
+                pinned_propagation(seed),
+                rx,
+                tx,
+                packets,
+                trial_seed(EXPERIMENT_ID, i as u64, seed),
+            );
+            (name, trial)
+        })
+        .collect()
 }
 
 /// The paper measured these placements once each; its tight per-trial level
@@ -197,27 +192,23 @@ mod tests {
         let result = run(Scale::Smoke, 31);
 
         // Without the body: clean (paper: 1440 received, 0 everything).
-        assert_eq!(result.no_body.body_ber(), 0.0);
-        assert!(result.no_body.packet_loss() < 0.005);
+        let no_body = result.no_body.summary("No body");
+        assert_eq!(no_body.body_bits_damaged, 0);
+        assert!(no_body.packet_loss < 0.005);
 
         // With the body: loss of a few percent, body damage in the
         // 5–30% range, level down ≈6 units.
-        let loss = result.body.packet_loss();
+        let body = result.body.summary("Body");
+        let loss = body.packet_loss;
         assert!((0.003..0.12).contains(&loss), "loss {loss}");
-        let received = result.body.test_packets().count();
         let damaged = result.body.count(PacketClass::BodyDamaged);
-        let dmg_rate = damaged as f64 / received as f64;
+        let dmg_rate = damaged as f64 / body.packets_received as f64;
         assert!((0.03..0.35).contains(&dmg_rate), "damage rate {dmg_rate}");
         let drop = result.body_level_drop();
         assert!((4.5..7.5).contains(&drop), "level drop {drop}");
 
         // Damaged bits per packet stay small ("a handful").
-        let worst = result
-            .body
-            .test_packets()
-            .map(|p| p.body_bit_errors)
-            .max()
-            .unwrap();
+        let worst = body.worst_body;
         assert!(worst <= 80, "worst {worst}");
 
         let rendered = result.render();

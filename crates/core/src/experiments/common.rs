@@ -1,14 +1,13 @@
 //! Shared experiment harness: the two-station trial every experiment builds
 //! on, plus run-size scaling.
 
-use wavelan_analysis::{analyze, ExpectedSeries, TraceAnalysis};
+use wavelan_analysis::{ExpectedSeries, StreamAnalysis};
 use wavelan_mac::network_id::NetworkId;
 use wavelan_mac::Thresholds;
 use wavelan_net::testpkt::Endpoint;
-use wavelan_sim::runner::attach_tx_count;
 use wavelan_sim::{
     AmbientSource, FloorPlan, Point, Propagation, Scenario, ScenarioBuilder, SimScratch,
-    StationConfig, Trace, TrialResult,
+    StationConfig,
 };
 
 /// How large to run each trial relative to the paper.
@@ -124,31 +123,28 @@ impl PointTrial {
         (scenario, rx, tx)
     }
 
-    /// Runs the trial and returns the receiver trace (with the transmitted
-    /// count attached) plus the full result.
-    pub fn run(&self) -> (Trace, TrialResult) {
-        self.run_in(&mut SimScratch::new())
-    }
-
-    /// [`PointTrial::run`] with a caller-owned scratch workspace, so
-    /// buffers and memo caches persist across trials (bit-identical).
-    pub fn run_in(&self, scratch: &mut SimScratch) -> (Trace, TrialResult) {
+    /// Runs the trial streamed: every receiver record is classified and
+    /// folded the moment the simulator resolves it, so memory stays flat in
+    /// the packet count. `scratch` is the caller's reusable workspace
+    /// (buffers and memo caches persist across trials, bit-identically).
+    pub fn fold_in(&self, scratch: &mut SimScratch) -> StreamAnalysis {
         let (scenario, rx, tx) = self.scenario();
-        let mut result = scenario.run_in(tx, self.packets, scratch);
-        attach_tx_count(&mut result, rx, tx);
-        let trace = result.traces[rx].clone().expect("receiver records");
-        (trace, result)
+        let mut fold = StreamAnalysis::new(expected_series(), rx);
+        let result = scenario.run_streamed(tx, self.packets, scratch, &mut fold);
+        fold.set_transmitted(result.packets_transmitted[tx]);
+        fold
     }
 
-    /// Runs and analyzes in one step.
-    pub fn analyze(&self) -> TraceAnalysis {
-        self.analyze_in(&mut SimScratch::new())
-    }
-
-    /// [`PointTrial::analyze`] with a caller-owned scratch workspace.
-    pub fn analyze_in(&self, scratch: &mut SimScratch) -> TraceAnalysis {
-        let (trace, _) = self.run_in(scratch);
-        analyze(&trace, &expected_series())
+    /// The buffered reference: runs the trial capturing the whole receiver
+    /// trace, then classifies it packet by packet. Tests hold
+    /// [`PointTrial::fold_in`] to this.
+    #[cfg(test)]
+    pub(crate) fn analyze(&self) -> wavelan_analysis::TraceAnalysis {
+        let (scenario, rx, tx) = self.scenario();
+        let mut result = scenario.run_in(tx, self.packets, &mut SimScratch::new());
+        wavelan_sim::runner::attach_tx_count(&mut result, rx, tx);
+        let trace = result.traces[rx].take().expect("receiver records");
+        wavelan_analysis::analyze(&trace, &expected_series())
     }
 }
 
@@ -183,7 +179,10 @@ pub fn add_outsider_pair(b: &mut ScenarioBuilder, near: Point, far: Point) -> (u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::Executor;
+    use crate::experiments::{body, in_room, multiroom, path_loss, walls};
     use crate::layouts;
+    use wavelan_analysis::{PacketClass, TrialSummary};
 
     #[test]
     fn scale_policies() {
@@ -196,11 +195,94 @@ mod tests {
     }
 
     #[test]
-    fn point_trial_runs_and_analyzes() {
+    fn point_trial_runs_and_folds() {
         let (plan, rx, tx) = layouts::office();
         let trial = PointTrial::new(plan, Propagation::indoor(1), rx, tx, 400, 1);
-        let analysis = trial.analyze();
-        assert!(analysis.test_packets().count() >= 398);
-        assert_eq!(analysis.transmitted, 400);
+        let summary = trial.fold_in(&mut SimScratch::new()).summary("office");
+        assert!(summary.packets_received >= 398);
+        assert_eq!(summary.packets_transmitted, 400);
+    }
+
+    /// Holds one folded trial to the buffered oracle: its Table 1 row, its
+    /// all-test signal stats, and every class's count and signal stats,
+    /// all with exact float equality.
+    fn assert_fold_matches(fold: &StreamAnalysis, name: &str, trial: &PointTrial) {
+        let oracle = trial.analyze();
+        assert_eq!(
+            fold.summary(name),
+            TrialSummary::from_analysis(name, &oracle),
+            "{name}"
+        );
+        assert_eq!(
+            fold.signal_stats(),
+            oracle.stats_where(|p| p.is_test),
+            "{name}"
+        );
+        for class in [
+            PacketClass::Undamaged,
+            PacketClass::Truncated,
+            PacketClass::WrapperDamaged,
+            PacketClass::BodyDamaged,
+        ] {
+            assert_eq!(
+                fold.count(class),
+                oracle.count(class) as u64,
+                "{name} {class:?}"
+            );
+            assert_eq!(
+                fold.class_stats(class),
+                oracle.stats_where(|p| p.is_test && p.class == class),
+                "{name} {class:?}"
+            );
+        }
+    }
+
+    /// Every streamed `PointTrial` driver reports exactly what the buffered
+    /// capture-then-classify path reports for the same trials.
+    #[test]
+    fn folded_drivers_equal_the_buffered_oracle() {
+        let exec = Executor::default();
+        let scale = Scale::Smoke;
+        for seed in [3, 41, 1996] {
+            let table2 = in_room::run_with(scale, seed, &exec);
+            let trials = in_room::trials(scale, seed);
+            assert_eq!(table2.trials.len(), trials.len());
+            for ((name, trial), row) in trials.iter().zip(&table2.trials) {
+                assert_eq!(*row, TrialSummary::from_analysis(name, &trial.analyze()));
+            }
+
+            let distances = [0.0, 10.0, 30.0, 60.0];
+            let packets = scale.packets(1_440);
+            let figure1 = path_loss::run_with(&distances, packets, seed, &exec);
+            let trials = path_loss::trials(&distances, packets, seed);
+            assert_eq!(figure1.samples.len(), trials.len());
+            for ((distance_ft, trial), sample) in trials.iter().zip(&figure1.samples) {
+                assert_eq!(sample.distance_ft, *distance_ft);
+                let oracle = trial.analyze();
+                assert_eq!(sample.level, oracle.stats_where(|p| p.is_test).0);
+                assert_eq!(sample.packets_transmitted, oracle.transmitted);
+            }
+
+            let table4 = walls::run_with(scale, seed, &exec);
+            let trials = walls::trials(scale, seed);
+            assert_eq!(table4.trials.len(), trials.len());
+            for ((name, trial), row) in trials.iter().zip(&table4.trials) {
+                assert_fold_matches(&row.analysis, name, trial);
+            }
+
+            let tables5to7 = multiroom::run_with(scale, seed, &exec);
+            let trials = multiroom::trials(scale, seed);
+            assert_eq!(tables5to7.locations.len(), trials.len());
+            for ((name, trial), location) in trials.iter().zip(&tables5to7.locations) {
+                assert_fold_matches(&location.analysis, name, trial);
+            }
+
+            let tables8to9 = body::run_with(scale, seed, &exec);
+            let trials = body::trials(scale, seed);
+            for ((name, trial), fold) in trials.iter().zip([&tables8to9.no_body, &tables8to9.body])
+            {
+                assert_fold_matches(fold, name, trial);
+            }
+        }
     }
 }

@@ -131,22 +131,35 @@ pub fn run(scale: Scale, base_seed: u64) -> InRoomResult {
 
 /// [`run`] on an explicit executor. Trials fan out across the pool; each
 /// trial's propagation and scenario streams derive purely from its index,
-/// so the result is identical at any worker count.
+/// so the result is identical at any worker count. Each trial streams
+/// through the analyzer, so memory stays flat in the packet count.
 pub fn run_with(scale: Scale, base_seed: u64, exec: &Executor) -> InRoomResult {
-    let spec = base_spec();
-    let trials = exec.map_indices_with(PAPER_TRIALS.len(), SimScratch::new, |scratch, i| {
-        let (name, paper_packets) = PAPER_TRIALS[i];
-        let trial = PointTrial::new(
-            spec.floorplan().expect("spec geometry is valid"),
-            Propagation::indoor(trial_seed(EXPERIMENT_ID, 2 * i as u64 + 1, base_seed)),
-            spec.stations[0].position(),
-            spec.stations[1].position(),
-            scale.packets(paper_packets),
-            trial_seed(EXPERIMENT_ID, 2 * i as u64, base_seed),
-        );
-        TrialSummary::from_analysis(name, &trial.analyze_in(scratch))
-    });
+    let trials = exec.map_with(
+        trials(scale, base_seed),
+        SimScratch::new,
+        |scratch, _, (name, trial)| trial.fold_in(scratch).summary(name),
+    );
     InRoomResult { trials }
+}
+
+/// The nine named trials, in the paper's order.
+pub(crate) fn trials(scale: Scale, base_seed: u64) -> Vec<(&'static str, PointTrial)> {
+    let spec = base_spec();
+    PAPER_TRIALS
+        .iter()
+        .enumerate()
+        .map(|(i, &(name, paper_packets))| {
+            let trial = PointTrial::new(
+                spec.floorplan().expect("spec geometry is valid"),
+                Propagation::indoor(trial_seed(EXPERIMENT_ID, 2 * i as u64 + 1, base_seed)),
+                spec.stations[0].position(),
+                spec.stations[1].position(),
+                scale.packets(paper_packets),
+                trial_seed(EXPERIMENT_ID, 2 * i as u64, base_seed),
+            );
+            (name, trial)
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use crate::layouts::{self, MultiRoom};
 use crate::registry::Experiment;
 use crate::spec::ScenarioSpec;
 use wavelan_analysis::report::{render_blocks, results_table, signal_table, SignalRow};
-use wavelan_analysis::{Block, PacketClass, Report, TraceAnalysis, TrialSummary};
+use wavelan_analysis::{Block, PacketClass, Report, StreamAnalysis, TrialSummary};
 use wavelan_sim::{Propagation, SimScratch};
 
 /// Paper packet counts per location (Tables 5–6).
@@ -30,8 +30,8 @@ pub const PAPER_PACKETS: [(&str, u64); 4] = [
 pub struct LocationResult {
     /// Location label.
     pub name: &'static str,
-    /// Full analysis.
-    pub analysis: TraceAnalysis,
+    /// The location's streamed aggregates.
+    pub analysis: StreamAnalysis,
 }
 
 /// The Tables 5–7 result.
@@ -46,7 +46,7 @@ impl MultiRoomResult {
     pub fn table5(&self) -> Vec<TrialSummary> {
         self.locations
             .iter()
-            .map(|l| TrialSummary::from_analysis(l.name, &l.analysis))
+            .map(|l| l.analysis.summary(l.name))
             .collect()
     }
 
@@ -54,7 +54,7 @@ impl MultiRoomResult {
     pub fn table6(&self) -> Vec<SignalRow> {
         self.locations
             .iter()
-            .map(|l| SignalRow::new(l.name, l.analysis.stats_where(|p| p.is_test)))
+            .map(|l| SignalRow::new(l.name, l.analysis.signal_stats()))
             .collect()
     }
 
@@ -62,19 +62,10 @@ impl MultiRoomResult {
     pub fn table7(&self) -> Vec<SignalRow> {
         let tx5 = &self.locations.last().expect("Tx5 present").analysis;
         vec![
-            SignalRow::new("All", tx5.stats_where(|p| p.is_test)),
-            SignalRow::new(
-                "Error-Free",
-                tx5.stats_where(|p| p.is_test && p.class == PacketClass::Undamaged),
-            ),
-            SignalRow::new(
-                "Truncated",
-                tx5.stats_where(|p| p.is_test && p.class == PacketClass::Truncated),
-            ),
-            SignalRow::new(
-                "Body Damaged",
-                tx5.stats_where(|p| p.is_test && p.class == PacketClass::BodyDamaged),
-            ),
+            SignalRow::new("All", tx5.signal_stats()),
+            SignalRow::new("Error-Free", tx5.class_stats(PacketClass::Undamaged)),
+            SignalRow::new("Truncated", tx5.class_stats(PacketClass::Truncated)),
+            SignalRow::new("Body Damaged", tx5.class_stats(PacketClass::BodyDamaged)),
         ]
     }
 
@@ -167,6 +158,19 @@ pub fn run(scale: Scale, seed: u64) -> MultiRoomResult {
 /// measured one building), but each location's traffic stream derives from
 /// its own index.
 pub fn run_with(scale: Scale, seed: u64, exec: &Executor) -> MultiRoomResult {
+    let locations = exec.map_with(
+        trials(scale, seed),
+        SimScratch::new,
+        |scratch, _, (name, trial)| LocationResult {
+            name,
+            analysis: trial.fold_in(scratch),
+        },
+    );
+    MultiRoomResult { locations }
+}
+
+/// The four named locations, in the paper's order.
+pub(crate) fn trials(scale: Scale, seed: u64) -> Vec<(&'static str, PointTrial)> {
     let MultiRoom {
         plan,
         rx,
@@ -175,23 +179,22 @@ pub fn run_with(scale: Scale, seed: u64, exec: &Executor) -> MultiRoomResult {
         tx4,
         tx5,
     } = layouts::multiroom();
-    let positions = [tx1, tx2, tx4, tx5];
-    let locations = exec.map_indices_with(PAPER_PACKETS.len(), SimScratch::new, |scratch, i| {
-        let (name, paper_packets) = PAPER_PACKETS[i];
-        let trial = PointTrial::new(
-            plan.clone(),
-            pinned_propagation(seed),
-            rx,
-            positions[i],
-            scale.packets(paper_packets),
-            trial_seed(EXPERIMENT_ID, i as u64, seed),
-        );
-        LocationResult {
-            name,
-            analysis: trial.analyze_in(scratch),
-        }
-    });
-    MultiRoomResult { locations }
+    PAPER_PACKETS
+        .iter()
+        .zip([tx1, tx2, tx4, tx5])
+        .enumerate()
+        .map(|(i, (&(name, paper_packets), tx))| {
+            let trial = PointTrial::new(
+                plan.clone(),
+                pinned_propagation(seed),
+                rx,
+                tx,
+                scale.packets(paper_packets),
+                trial_seed(EXPERIMENT_ID, i as u64, seed),
+            );
+            (name, trial)
+        })
+        .collect()
 }
 
 /// The paper measured these placements once each; its tight per-trial level
@@ -243,17 +246,14 @@ mod tests {
         // Propagation seed recalibrated for the vendored xoshiro RNG stream
         // (seed 20's shadowing realization leaves Tx5 entirely clean).
         let trial = PointTrial::new(plan, Propagation::indoor(21), rx, tx5, 6_000, 77);
-        let analysis = trial.analyze();
+        let analysis = trial.fold_in(&mut SimScratch::new());
         let damaged = analysis.count(PacketClass::BodyDamaged);
         assert!(damaged > 0, "expected some body damage at Tx5");
         // A handful of bits per damaged packet, tens overall — not a storm.
-        let worst = analysis
-            .test_packets()
-            .map(|p| p.body_bit_errors)
-            .max()
-            .unwrap();
+        let summary = analysis.summary("Tx5");
+        let worst = summary.worst_body;
         assert!((1..=60).contains(&worst), "worst body {worst}");
-        let rate = damaged as f64 / analysis.test_packets().count() as f64;
+        let rate = damaged as f64 / summary.packets_received as f64;
         assert!(rate < 0.15, "damage rate {rate}");
     }
 }

@@ -29,6 +29,8 @@ pub struct DistanceSample {
     pub distance_ft: f64,
     /// Reported-level statistics over the burst.
     pub level: SignalStats,
+    /// Test packets the sender put on the air in the burst.
+    pub packets_transmitted: u64,
 }
 
 /// The Figure 1 series.
@@ -161,24 +163,43 @@ pub fn run_with(
     } else {
         distances_ft
     };
-    let (plan, rx) = layouts::lecture_hall_receiver();
-    let samples = exec.map_with(distances.to_vec(), SimScratch::new, |scratch, i, d| {
-        let trial = PointTrial::new(
-            plan.clone(),
-            Propagation::lecture_hall(seed),
-            rx,
-            Point::feet(d.max(0.1), 0.0),
-            packets_per_point,
-            trial_seed(EXPERIMENT_ID, i as u64, seed),
-        );
-        let analysis = trial.analyze_in(scratch);
-        let (level, _, _) = analysis.stats_where(|p| p.is_test);
-        DistanceSample {
-            distance_ft: d,
-            level,
-        }
-    });
+    let samples = exec.map_with(
+        trials(distances, packets_per_point, seed),
+        SimScratch::new,
+        |scratch, _, (distance_ft, trial)| {
+            let fold = trial.fold_in(scratch);
+            DistanceSample {
+                distance_ft,
+                level: fold.signal_stats().0,
+                packets_transmitted: fold.transmitted(),
+            }
+        },
+    );
     PathLossResult { samples }
+}
+
+/// One trial per distance, in `distances_ft` order.
+pub(crate) fn trials(
+    distances_ft: &[f64],
+    packets_per_point: u64,
+    seed: u64,
+) -> Vec<(f64, PointTrial)> {
+    let (plan, rx) = layouts::lecture_hall_receiver();
+    distances_ft
+        .iter()
+        .enumerate()
+        .map(|(i, &d)| {
+            let trial = PointTrial::new(
+                plan.clone(),
+                Propagation::lecture_hall(seed),
+                rx,
+                Point::feet(d.max(0.1), 0.0),
+                packets_per_point,
+                trial_seed(EXPERIMENT_ID, i as u64, seed),
+            );
+            (d, trial)
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ use crate::layouts;
 use crate::registry::Experiment;
 use crate::spec::ScenarioSpec;
 use wavelan_analysis::report::{render_blocks, signal_table, SignalRow};
-use wavelan_analysis::{Block, Report, TraceAnalysis};
+use wavelan_analysis::{Block, Report, StreamAnalysis};
 use wavelan_phy::Material;
 use wavelan_sim::{Propagation, SimScratch};
 
@@ -30,8 +30,8 @@ pub const PAPER_PACKETS: u64 = 12_720;
 pub struct WallTrial {
     /// Trial label (`Air 1`, `Wall 1`, ...).
     pub name: &'static str,
-    /// Full analysis (for the signal metrics).
-    pub analysis: TraceAnalysis,
+    /// The trial's streamed aggregates (for the signal metrics).
+    pub analysis: StreamAnalysis,
 }
 
 /// The Table 4 result.
@@ -49,7 +49,7 @@ impl WallsResult {
             .iter()
             .find(|t| t.name == name)
             .expect("trial exists");
-        t.analysis.stats_where(|p| p.is_test).0.mean()
+        t.analysis.signal_stats().0.mean()
     }
 
     /// Level drop attributed to wall 1 (plaster + mesh).
@@ -68,7 +68,7 @@ impl WallsResult {
         let rows: Vec<SignalRow> = self
             .trials
             .iter()
-            .map(|t| SignalRow::new(t.name, t.analysis.stats_where(|p| p.is_test)))
+            .map(|t| SignalRow::new(t.name, t.analysis.signal_stats()))
             .collect();
         vec![Block::Table(signal_table(
             "Table 4: Signal metrics with a single wall",
@@ -138,6 +138,19 @@ pub fn run(scale: Scale, seed: u64) -> WallsResult {
 /// Each air/wall pair derives its shared seed from the *pair* index, keeping
 /// the paper's matched-placement method intact under parallel execution.
 pub fn run_with(scale: Scale, seed: u64, exec: &Executor) -> WallsResult {
+    let trials = exec.map_with(
+        trials(scale, seed),
+        SimScratch::new,
+        |scratch, _, (name, trial)| WallTrial {
+            name,
+            analysis: trial.fold_in(scratch),
+        },
+    );
+    WallsResult { trials }
+}
+
+/// The four named trials, in the paper's order.
+pub(crate) fn trials(scale: Scale, seed: u64) -> Vec<(&'static str, PointTrial)> {
     let packets = scale.packets(PAPER_PACKETS);
     let specs: [(&'static str, Option<Material>, f64, u64); 4] = [
         ("Air 1", None, 0.0, 0),
@@ -145,10 +158,9 @@ pub fn run_with(scale: Scale, seed: u64, exec: &Executor) -> WallsResult {
         ("Air 2", None, 4.0, 1),
         ("Wall 2", Some(Material::ConcreteBlock), 4.0, 1),
     ];
-    let trials = exec.map_with(
-        specs.to_vec(),
-        SimScratch::new,
-        |scratch, _, (name, material, extra_ft, pair)| {
+    specs
+        .into_iter()
+        .map(|(name, material, extra_ft, pair)| {
             let s = trial_seed(EXPERIMENT_ID, pair, seed);
             let (plan, rx, tx) = match material {
                 Some(m) => layouts::single_wall(m, extra_ft),
@@ -159,13 +171,9 @@ pub fn run_with(scale: Scale, seed: u64, exec: &Executor) -> WallsResult {
                 }
             };
             let trial = PointTrial::new(plan, pinned_propagation(s), rx, tx, packets, s);
-            WallTrial {
-                name,
-                analysis: trial.analyze_in(scratch),
-            }
-        },
-    );
-    WallsResult { trials }
+            (name, trial)
+        })
+        .collect()
 }
 
 /// The paper measured these placements once each; its tight per-trial level
@@ -187,8 +195,9 @@ mod tests {
         // "no loss or error whatsoever" (at smoke scale allow the host-loss
         // floor a packet or two).
         for t in &result.trials {
-            assert_eq!(t.analysis.body_ber(), 0.0, "{}", t.name);
-            assert!(t.analysis.packet_loss() < 0.005, "{}", t.name);
+            let summary = t.analysis.summary(t.name);
+            assert_eq!(summary.body_bits_damaged, 0, "{}", t.name);
+            assert!(summary.packet_loss < 0.005, "{}", t.name);
         }
         // Plaster ≈ 5 points, concrete ≈ 2 points, plaster > concrete.
         let plaster = result.plaster_drop();
@@ -198,7 +207,7 @@ mod tests {
         assert!(plaster > concrete);
         // Quality unaffected by walls (paper: 15.00 everywhere).
         for t in &result.trials {
-            let (_, _, quality) = t.analysis.stats_where(|p| p.is_test);
+            let (_, _, quality) = t.analysis.signal_stats();
             assert!(quality.mean() > 14.7, "{}: {}", t.name, quality.mean());
         }
         assert!(result.render().contains("Wall 2"));

@@ -12,20 +12,20 @@
 //! The runnable half is [`ScenarioSpec::run_in`]: build the scenario the
 //! same way [`crate::experiments::common::PointTrial`] does (receiver is
 //! station 0, the measured sender station 1, then extras, then ambient
-//! sources), run it at a [`Scale`], and fold the receiver trace into a
-//! small [`SpecMetrics`] record the sweep summary ranks on.
+//! sources), run it at a [`Scale`], and stream the receiver's records
+//! through the analyzer into a small [`SpecMetrics`] record the sweep
+//! summary ranks on.
 
 use crate::executor::trial_seed;
 use crate::experiments::common::{expected_series, test_receiver, test_sender, Scale};
 use serde::{Serialize, SerializeStruct, Serializer};
 use wavelan_analysis::json::{self, Value};
-use wavelan_analysis::{analyze, PacketClass};
+use wavelan_analysis::{PacketClass, StreamAnalysis, TrialSummary};
 use wavelan_mac::network_id::NetworkId;
 use wavelan_mac::Thresholds;
 use wavelan_net::testpkt::Endpoint;
 use wavelan_phy::interference::DutyCycle;
 use wavelan_phy::{InterferenceKind, Material};
-use wavelan_sim::runner::attach_tx_count;
 use wavelan_sim::station::{FrameKind, Traffic};
 use wavelan_sim::{
     AmbientSource, Emitter, FloorPlan, Point, Propagation, Scenario, ScenarioBuilder, Segment,
@@ -555,7 +555,8 @@ impl ScenarioSpec {
         Ok((scenario, rx, measured_tx.expect("sender validated above")))
     }
 
-    /// Runs the spec at `scale` and folds the receiver trace into metrics.
+    /// Runs the spec at `scale`, folding the receiver's records into
+    /// metrics as they arrive (no trace is buffered).
     pub fn run_in(
         &self,
         scale: Scale,
@@ -564,11 +565,19 @@ impl ScenarioSpec {
     ) -> Result<SpecMetrics, SpecError> {
         let (scenario, rx, tx) = self.build(seed)?;
         let packets = scale.packets(self.packet_budget);
-        let mut result = scenario.run_in(tx, packets, scratch);
-        attach_tx_count(&mut result, rx, tx);
-        let trace = result.traces[rx].as_ref().expect("receiver records");
-        let analysis = analyze(trace, &expected_series());
-        let received = analysis.test_packets().count() as u64;
+        let mut fold = StreamAnalysis::new(expected_series(), rx);
+        let result = scenario.run_streamed(tx, packets, scratch, &mut fold);
+        fold.set_transmitted(result.packets_transmitted[tx]);
+        Ok(self.metrics(
+            packets,
+            &fold.summary(&self.name),
+            fold.count(PacketClass::Undamaged),
+        ))
+    }
+
+    /// The metrics of a run of `packets` requested transmissions, from the
+    /// receiver's Table 1 row and its undamaged test-packet count.
+    fn metrics(&self, packets: u64, summary: &TrialSummary, undamaged: u64) -> SpecMetrics {
         // The measured sender's frame shape decides how body damage is
         // judged: standard test frames carry the repeated-word body the
         // analysis classifier understands; sized frames
@@ -581,15 +590,10 @@ impl ScenarioSpec {
             .iter()
             .find(|s| s.role == Role::Sender)
             .map_or(0, |s| s.frame_bytes);
-        let truncated = analysis.count(PacketClass::Truncated) as u64;
+        let received = summary.packets_received;
+        let truncated = summary.packets_truncated;
         let (undamaged, body_bits_damaged) = if frame_bytes == 0 {
-            (
-                analysis.count(PacketClass::Undamaged) as u64,
-                analysis
-                    .test_packets()
-                    .map(|p| u64::from(p.body_bit_errors))
-                    .sum(),
-            )
+            (undamaged, summary.body_bits_damaged)
         } else {
             (received - truncated, 0)
         };
@@ -600,15 +604,15 @@ impl ScenarioSpec {
                 n as f64 * 100.0 / received as f64
             }
         };
-        Ok(SpecMetrics {
+        SpecMetrics {
             transmitted: packets,
             received,
-            packet_loss_pct: analysis.packet_loss() * 100.0,
+            packet_loss_pct: summary.packet_loss * 100.0,
             truncated,
             truncated_pct: pct(truncated),
             intact_pct: pct(undamaged),
             body_bits_damaged,
-        })
+        }
     }
 
     /// Reads one numeric field by dotted path (see [`ScenarioSpec::set_field`]).
@@ -1050,6 +1054,44 @@ mod tests {
         assert_eq!(metrics.transmitted, Scale::Smoke.packets(1_440));
         assert!(metrics.received > 0);
         assert!(metrics.intact_pct > 90.0);
+    }
+
+    /// The buffered reference for [`ScenarioSpec::run_in`]: capture the
+    /// whole receiver trace, classify it packet by packet, then derive the
+    /// metrics.
+    fn buffered_metrics(spec: &ScenarioSpec, scale: Scale, seed: u64) -> SpecMetrics {
+        let (scenario, rx, tx) = spec.build(seed).expect("builds");
+        let packets = scale.packets(spec.packet_budget);
+        let mut result = scenario.run_in(tx, packets, &mut SimScratch::new());
+        wavelan_sim::runner::attach_tx_count(&mut result, rx, tx);
+        let trace = result.traces[rx].take().expect("receiver records");
+        let analysis = wavelan_analysis::analyze(&trace, &expected_series());
+        spec.metrics(
+            packets,
+            &TrialSummary::from_analysis(&spec.name, &analysis),
+            analysis.count(PacketClass::Undamaged) as u64,
+        )
+    }
+
+    #[test]
+    fn folded_metrics_equal_the_buffered_reference() {
+        let standard = oven_like();
+        let mut sized = oven_like();
+        sized.set_field("stations[1].frame_bytes", 512.0).unwrap();
+        for spec in [standard, sized] {
+            for seed in [3, 41, 1996] {
+                let folded = spec
+                    .run_in(Scale::Smoke, seed, &mut SimScratch::new())
+                    .expect("runs");
+                assert!(folded.received > 0, "seed {seed}: nothing arrived");
+                assert_eq!(
+                    folded,
+                    buffered_metrics(&spec, Scale::Smoke, seed),
+                    "frame_bytes {} seed {seed}",
+                    spec.stations[1].frame_bytes
+                );
+            }
+        }
     }
 
     #[test]

@@ -65,32 +65,47 @@ fn every_entry_runs_at_smoke_scale() {
     }
 }
 
-/// For experiments that keep their trace analyses, the advertised packet
-/// budget equals the transmissions the simulator actually counted — the
-/// budget is requested transmissions, not an estimate.
+/// The advertised packet budget equals the transmissions the simulator
+/// actually counted — the budget is requested transmissions, not an
+/// estimate. Streamed drivers report the count their fold recorded;
+/// buffered ones the count on their trace analysis.
 #[test]
 fn budgets_match_sim_counted_transmissions() {
-    use wavelan_core::experiments::{body, multiroom, narrowband, walls};
+    use wavelan_core::experiments::{body, in_room, multiroom, narrowband, path_loss, walls};
 
     let exec = Executor::default();
     let scale = Scale::Smoke;
     let seed = 1996;
+    let budget = |name: &str| registry::find(name).unwrap().packet_budget(scale);
+
+    let in_room_result = in_room::run_with(scale, seed, &exec);
+    let in_room_tx: u64 = in_room_result
+        .trials
+        .iter()
+        .map(|t| t.packets_transmitted)
+        .sum();
+    assert_eq!(in_room_tx, budget("table2"));
+
+    let path_loss_result = path_loss::run_with(&[], scale.packets(1_440), seed, &exec);
+    let path_loss_tx: u64 = path_loss_result
+        .samples
+        .iter()
+        .map(|s| s.packets_transmitted)
+        .sum();
+    assert_eq!(path_loss_tx, budget("figure1"));
 
     let walls_result = walls::run_with(scale, seed, &exec);
     let walls_tx: u64 = walls_result
         .trials
         .iter()
-        .map(|t| t.analysis.transmitted)
+        .map(|t| t.analysis.transmitted())
         .sum();
-    assert_eq!(
-        walls_tx,
-        registry::find("table4").unwrap().packet_budget(scale)
-    );
+    assert_eq!(walls_tx, budget("table4"));
 
     let body_result = body::run_with(scale, seed, &exec);
     assert_eq!(
-        body_result.no_body.transmitted + body_result.body.transmitted,
-        registry::find("table8-9").unwrap().packet_budget(scale)
+        body_result.no_body.transmitted() + body_result.body.transmitted(),
+        budget("table8-9")
     );
 
     let narrowband_result = narrowband::run_with(scale, seed, &exec);
@@ -99,19 +114,13 @@ fn budgets_match_sim_counted_transmissions() {
         .iter()
         .map(|t| t.analysis.transmitted)
         .sum();
-    assert_eq!(
-        narrowband_tx,
-        registry::find("table10").unwrap().packet_budget(scale)
-    );
+    assert_eq!(narrowband_tx, budget("table10"));
 
     let multiroom_result = multiroom::run_with(scale, seed, &exec);
     let multiroom_tx: u64 = multiroom_result
         .locations
         .iter()
-        .map(|l| l.analysis.transmitted)
+        .map(|l| l.analysis.transmitted())
         .sum();
-    assert_eq!(
-        multiroom_tx,
-        registry::find("table5-7").unwrap().packet_budget(scale)
-    );
+    assert_eq!(multiroom_tx, budget("table5-7"));
 }
